@@ -38,7 +38,7 @@ from repro.core.design import (
 from repro.core.diagnose import conflict_from_core
 from repro.core.equivalence import deployment_classes
 from repro.core.query import CACHEABLE_VERBS, Query
-from repro.errors import KnowledgeBaseError, QueryError
+from repro.errors import KnowledgeBaseError, QueryError, SolverStateError
 from repro.kb.registry import KnowledgeBase
 from repro.logic.pseudo_boolean import PBTerm
 from repro.obs.observer import EngineObserver
@@ -53,6 +53,12 @@ __all__ = ["QueryExecutor"]
 #: Cache sentinel distinct from any result (``diagnose`` caches ``None``
 #: for feasible requests, so ``None`` cannot signal a miss).
 _MISS = object()
+
+
+def _require_sat(satisfiable: bool) -> None:
+    """Raise unless an optimization step kept a feasible request sat."""
+    if not satisfiable:
+        raise SolverStateError("feasible request must stay sat")
 
 
 class QueryExecutor:
@@ -423,10 +429,13 @@ class QueryExecutor:
             if name in COST_OBJECTIVES:
                 with tracer.span(name):
                     expr = view.cost_expr(name)
-                    # Stop within ~2% of optimal: the probes nearest the
-                    # true optimum are the hardest UNSAT instances, and
-                    # shallow cost reasoning does not need dollar-exact
-                    # answers.
+                    # Stop once the optimality gap is at most 2% of the
+                    # *first* feasible design's cost (not of the optimum):
+                    # the probes nearest the true optimum are the hardest
+                    # UNSAT instances, and shallow cost reasoning does not
+                    # need dollar-exact answers. On the case study that is
+                    # 105 capex units against a final value near 2,150,
+                    # about 5% of the optimum.
                     if solver.solve(base):
                         first = expr_value(expr, encoder, solver.model())
                     else:  # pragma: no cover - guarded by feasibility check
@@ -440,7 +449,7 @@ class QueryExecutor:
                         assumptions=assumptions,
                         freeze_lit=act,
                     )
-                    assert result is not None, "feasible request must stay sat"
+                    _require_sat(result is not None)
             else:
                 lex = lexicographic_optimize(
                     solver,
@@ -450,7 +459,7 @@ class QueryExecutor:
                     freeze_lit=act,
                     totalizer_cache=totalizers,
                 )
-                assert lex.satisfiable, "feasible request must stay sat"
+                _require_sat(lex.satisfiable)
         if view.soft_rule_terms:
             lex = lexicographic_optimize(
                 solver,
@@ -460,7 +469,7 @@ class QueryExecutor:
                 freeze_lit=act,
                 totalizer_cache=totalizers,
             )
-            assert lex.satisfiable, "feasible request must stay sat"
+            _require_sat(lex.satisfiable)
         # Implicit lowest-priority objective: parsimony. Without it the
         # solver happily deploys harmless-but-pointless extra systems.
         parsimony = [PBTerm(1, lit) for lit in view.sys_lits.values()]
@@ -473,9 +482,8 @@ class QueryExecutor:
                 freeze_lit=act,
                 totalizer_cache=totalizers,
             )
-            assert lex.satisfiable, "feasible request must stay sat"
-        satisfiable = solver.solve(base)
-        assert satisfiable, "feasible request must stay sat"
+            _require_sat(lex.satisfiable)
+        _require_sat(solver.solve(base))
         return solver.model()
 
     def _explain(

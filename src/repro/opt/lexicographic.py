@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from repro.errors import SolverStateError
 from repro.logic.pseudo_boolean import GeneralizedTotalizer, PBTerm
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sat.solver import Solver
@@ -110,8 +111,8 @@ def _descend(
         # Already optimal; freeze by forbidding every weighted literal,
         # or later objectives could silently degrade this one.
         _freeze(solver, [-t.lit for t in terms], freeze_lit)
-        satisfiable = solver.solve(base)
-        assert satisfiable, "frozen optimum must remain satisfiable"
+        if not solver.solve(base):
+            raise SolverStateError("frozen optimum must remain satisfiable")
         return solver.model(), 0, 0
     cap = sum(t.weight for t in terms) + 1
     cache_key = tuple((t.weight, t.lit) for t in terms)
@@ -140,6 +141,6 @@ def _descend(
     if bound_lit is not None:
         _freeze(solver, [-bound_lit], freeze_lit)
     # Re-establish a model satisfying all frozen bounds.
-    satisfiable = solver.solve(base)
-    assert satisfiable, "frozen optimum must remain satisfiable"
+    if not solver.solve(base):
+        raise SolverStateError("frozen optimum must remain satisfiable")
     return solver.model(), hi, probes

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import SolverStateError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.smt.encoder import IntEncoder
 from repro.smt.intervals import bounds_of
@@ -50,10 +51,12 @@ def minimize_linexpr(
     found bound is asserted as a hard upper bound afterwards, so
     subsequent (lower-priority) objectives cannot degrade it.
 
-    *tolerance* stops the bisection once the optimality gap is that
-    small — the probes closest to the true optimum are the hardest
-    UNSAT instances, and rules-of-thumb reasoning rarely needs
-    dollar-exact answers.
+    *tolerance* is an absolute gap in the units of *expr*: the bisection
+    stops once every value more than *tolerance* below the returned one
+    has been refuted, so the result is within *tolerance* of the true
+    minimum (exact with the default 0). The probes closest to the
+    optimum are the hardest UNSAT instances, and rules-of-thumb
+    reasoning rarely needs dollar-exact answers.
 
     With *assumptions*, every solve (including probes) runs under those
     assumption literals; with *freeze_lit*, freeze clauses are emitted as
@@ -86,7 +89,7 @@ def minimize_linexpr(
                 solver.add_clause([bound])
             else:
                 solver.add_clause([-freeze_lit, bound])
-            satisfiable = solver.solve(base)
-            assert satisfiable, "frozen optimum must remain satisfiable"
+            if not solver.solve(base):
+                raise SolverStateError("frozen optimum must remain satisfiable")
             model = solver.model()
     return LinearMinimum(value=hi, model=model, iterations=iterations)

@@ -14,6 +14,8 @@ structure (guarded resource constraints).
 
 from __future__ import annotations
 
+import itertools
+
 from repro.errors import EncodingError
 from repro.smt.intervals import trivially
 from repro.smt.terms import IntVar, LinConstraint
@@ -107,25 +109,37 @@ class IntEncoder:
     def _iff2(self, a: int, b: int) -> int:
         return -self._xor2(a, b)
 
-    def _majority(self, a: int, b: int, c: int) -> int:
-        """Reified majority(a, b, c) — the full-adder carry."""
+    def _full_adder(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """``(sum, carry)`` of the one-bit addition ``a + b + c``.
+
+        The sum is a direct 3-input XOR (8 clauses) and the carry a
+        majority (6 clauses). Six redundant clauses link the two outputs
+        (``carry & sum -> a, b, c`` and ``~carry & ~sum -> ~a, ~b, ~c``),
+        after which unit propagation derives every value the adder
+        relation forces from any partial assignment (Een & Sorensson,
+        JSAT 2006). A constant input folds the adder to a half adder.
+        """
         t = self._true()
-        consts = sum(1 for x in (a, b, c) if x in (t, -t))
-        if consts:
-            # Fold constants via the identities maj(1,b,c)=b|c, maj(0,b,c)=b&c.
-            lits = [a, b, c]
-            for i, x in enumerate(lits):
-                if x == t:
-                    rest = [y for j, y in enumerate(lits) if j != i]
-                    return self._or2(rest[0], rest[1])
-                if x == -t:
-                    rest = [y for j, y in enumerate(lits) if j != i]
-                    return self._and2(rest[0], rest[1])
-        out = self.solver.new_var()
-        for x, y in ((a, b), (a, c), (b, c)):
-            self.solver.add_clause([-x, -y, out])
-            self.solver.add_clause([x, y, -out])
-        return out
+        lits = (a, b, c)
+        for i, x in enumerate(lits):
+            y, z = lits[:i] + lits[i + 1:]
+            if x == -t:  # 0 + y + z
+                return self._xor2(y, z), self._and2(y, z)
+            if x == t:  # 1 + y + z
+                return -self._xor2(y, z), self._or2(y, z)
+        s = self.solver.new_var()
+        co = self.solver.new_var()
+        add = self.solver.add_clause
+        for sa, sb, sc in itertools.product((1, -1), repeat=3):
+            # An even number of negated inputs means odd parity: s holds.
+            odd = sa * sb * sc > 0
+            add([-sa * a, -sb * b, -sc * c, s if odd else -s])
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            add([-x, -y, co])
+            add([x, y, -co])
+            add([-co, -s, z])
+            add([co, s, -z])
+        return s, co
 
     # -- bit vectors -----------------------------------------------------------
 
@@ -182,9 +196,8 @@ class IntEncoder:
         out: list[int] = []
         carry = f
         for ai, bi in zip(a, b):
-            partial = self._xor2(ai, bi)
-            out.append(self._xor2(partial, carry))
-            carry = self._majority(ai, bi, carry)
+            bit, carry = self._full_adder(ai, bi, carry)
+            out.append(bit)
         out.append(carry)
         return out
 

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +24,10 @@ from repro.opt import (
 )
 from repro.opt.linear import expr_value, minimize_linexpr
 from repro.sat import Solver
-from repro.smt import IntEncoder, IntVar
+from repro.smt import IntEncoder, IntVar, LinExpr
 from tests.conftest import random_clauses
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _brute_min_cost(n, hard, soft):
@@ -229,6 +236,107 @@ class TestLinearMin:
         encoder.assert_constraint(x.eq(4))
         s.solve()
         assert expr_value(3 * x + 2, encoder, s.model()) == 14
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tolerance_contract(self, seed):
+        """The result is within *tolerance* of the brute-force minimum."""
+        rng = random.Random(f"linear-tolerance-{seed}")
+        variables = [IntVar(f"x{i}", 0, rng.randint(3, 12)) for i in range(3)]
+        constraints = [
+            sum((rng.randint(0, 4) * v for v in variables), LinExpr())
+            >= rng.randint(0, 20)
+            for _ in range(2)
+        ]
+        objective = sum(
+            (rng.randint(-3, 9) * v for v in variables), LinExpr()
+        )
+        tolerance = rng.choice([0, 1, 3, 8, 25])
+        feasible = [
+            objective.evaluate(env)
+            for env in (
+                dict(zip(variables, point))
+                for point in itertools.product(
+                    *(range(v.lo, v.hi + 1) for v in variables)
+                )
+            )
+            if all(c.holds(env) for c in constraints)
+        ]
+        solver = Solver()
+        encoder = IntEncoder(solver)
+        for constraint in constraints:
+            encoder.assert_constraint(constraint)
+        result = minimize_linexpr(
+            solver, encoder, objective, freeze=False, tolerance=tolerance
+        )
+        if not feasible:
+            assert result is None
+            return
+        best = min(feasible)
+        assert best <= result.value <= best + tolerance
+        assert expr_value(objective, encoder, result.model) == result.value
+
+
+class _FailsAfter(Solver):
+    """A solver that answers UNSAT from its (*n* + 1)-th solve on."""
+
+    def __init__(self, n):
+        super().__init__()
+        self._left = n
+
+    def solve(self, assumptions=()):
+        self._left -= 1
+        return self._left >= 0 and super().solve(assumptions)
+
+
+class TestOptimizerStateErrors:
+    """Lost feasibility raises SolverStateError, not a bare assert."""
+
+    def test_linear_freeze(self):
+        s = _FailsAfter(1)
+        encoder = IntEncoder(s)
+        x = IntVar("x", 0, 50)
+        encoder.assert_constraint(x >= 7)
+        with pytest.raises(SolverStateError, match="frozen optimum"):
+            minimize_linexpr(s, encoder, 1 * x, tolerance=100)
+
+    @pytest.mark.parametrize("zero_cost", [True, False])
+    def test_lexicographic_freeze(self, zero_cost):
+        s = _FailsAfter(1)
+        a = s.new_var()
+        s.add_clause([-a] if zero_cost else [a])
+        with pytest.raises(SolverStateError, match="frozen optimum"):
+            lexicographic_optimize(s, [LexObjective("o", [PBTerm(1, a)])])
+
+    def test_raised_under_optimize_flag(self):
+        """``python -O`` strips asserts; the typed error must survive."""
+        script = textwrap.dedent(
+            """
+            from repro.errors import SolverStateError
+            from repro.opt.linear import minimize_linexpr
+            from repro.smt import IntEncoder, IntVar
+            from tests.test_opt import _FailsAfter
+
+            assert False, "asserts must be stripped under -O"
+            s = _FailsAfter(1)
+            encoder = IntEncoder(s)
+            x = IntVar("x", 0, 50)
+            encoder.assert_constraint(x >= 7)
+            try:
+                minimize_linexpr(s, encoder, 1 * x, tolerance=100)
+            except SolverStateError as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "raised: frozen optimum must remain satisfiable" in result.stdout
 
 
 class TestEnumeration:

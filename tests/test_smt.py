@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError, UnboundedIntError
+from repro.logic.tseitin import ClauseCollector
 from repro.sat import Solver
 from repro.smt import IntEncoder, IntVar, LinExpr
 from repro.smt.intervals import Interval, bounds_of, trivially
@@ -211,3 +212,106 @@ class TestEncoder:
         encoder = IntEncoder(solver)
         with pytest.raises(EncodingError):
             encoder.const_bits(-1)
+
+
+def _unit_propagate(clauses, assigned):
+    """Close *assigned* (a set of literals) under unit propagation.
+
+    Returns the closed literal set, or None when a clause is falsified.
+    """
+    true = set(assigned)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            open_lits = [lit for lit in clause if -lit not in true]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                true.add(open_lits[0])
+                changed = True
+    return true
+
+
+class TestFullAdder:
+    """The full adder is exact and propagation-complete."""
+
+    @staticmethod
+    def _adder():
+        collector = ClauseCollector()
+        encoder = IntEncoder(collector)
+        a, b, c = (collector.new_var() for _ in range(3))
+        s, co = encoder._full_adder(a, b, c)
+        return collector.clauses, (a, b, c, s, co)
+
+    def test_truth_table(self):
+        clauses, (a, b, c, s, co) = self._adder()
+        solver = Solver()
+        solver.new_vars(max(abs(lit) for cl in clauses for lit in cl))
+        for clause in clauses:
+            solver.add_clause(clause)
+        for bits in itertools.product((False, True), repeat=3):
+            inputs = [v if bit else -v for v, bit in zip((a, b, c), bits)]
+            total = sum(bits)
+            assert solver.solve(inputs)
+            assert solver.value(s) == bool(total & 1), bits
+            assert solver.value(co) == (total >= 2), bits
+            # No other output pair is consistent with these inputs.
+            assert not solver.solve(inputs + [-s if total & 1 else s])
+            assert not solver.solve(inputs + [-co if total >= 2 else co])
+
+    def test_propagation_complete(self):
+        """Unit propagation derives everything the adder relation forces.
+
+        For each of the 3^5 partial assignments over ``(a, b, c, s, co)``
+        the forced literals are computed by enumerating the relation; unit
+        propagation on the clauses alone must derive each of them, and
+        must hit a conflict exactly when no extension exists.
+        """
+        clauses, lits = self._adder()
+        relation = [
+            bits
+            for bits in itertools.product((False, True), repeat=5)
+            if bits[3] == bool(sum(bits[:3]) & 1)
+            and bits[4] == (sum(bits[:3]) >= 2)
+        ]
+        for partial in itertools.product((None, False, True), repeat=5):
+            assigned = {
+                v if val else -v
+                for v, val in zip(lits, partial)
+                if val is not None
+            }
+            extensions = [
+                bits
+                for bits in relation
+                if all(p is None or p == q for p, q in zip(partial, bits))
+            ]
+            closed = _unit_propagate(clauses, assigned)
+            if not extensions:
+                assert closed is None, partial
+                continue
+            assert closed is not None, partial
+            for i, v in enumerate(lits):
+                values = {bits[i] for bits in extensions}
+                if values == {True}:
+                    assert v in closed, (partial, i)
+                elif values == {False}:
+                    assert -v in closed, (partial, i)
+
+    def test_folded_inputs(self):
+        """Constant inputs fold to a half adder; repeated inputs stay exact."""
+        solver = Solver()
+        encoder = IntEncoder(solver)
+        t = encoder._true()
+        x, y = solver.new_vars(2)
+        pool = (t, -t, x, -x, y)
+        for a, b, c in itertools.product(pool, repeat=3):
+            s, co = encoder._full_adder(a, b, c)
+            for vx, vy in itertools.product((False, True), repeat=2):
+                env = {t: True, x: vx, y: vy}
+                total = sum(env[abs(v)] == (v > 0) for v in (a, b, c))
+                assert solver.solve([x if vx else -x, y if vy else -y])
+                assert solver.value(s) == bool(total & 1), (a, b, c, env)
+                assert solver.value(co) == (total >= 2), (a, b, c, env)

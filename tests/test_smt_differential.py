@@ -9,7 +9,9 @@ bugs in the adder/comparator circuits.
 
 Domains stay tiny (2-3 variables, width <= 5) so the enumeration oracle
 is exact and fast; 200 seeded instances cover the coefficient-sign,
-offset-sign, and operator space.
+offset-sign, and operator space. A second family of 100 instances uses
+3-4 variables with coefficients up to 60, so each sum runs through
+several layers of live carries in the full adders.
 """
 
 from __future__ import annotations
@@ -46,6 +48,32 @@ def _random_system(rng: random.Random):
     return variables, constraints
 
 
+def _wide_system(rng: random.Random):
+    """3-4 bounded IntVars and 1-3 constraints with coefficients up to 60."""
+    variables = []
+    for i in range(rng.randint(3, 4)):
+        lo = rng.randint(-4, 4)
+        variables.append(IntVar(f"w{i}", lo, lo + rng.randint(1, 5)))
+    # Constants sit near a random witness point, so about half the
+    # systems are satisfiable and their decoded models get checked.
+    witness = {v: rng.randint(v.lo, v.hi) for v in variables}
+    constraints = []
+    for _ in range(rng.randint(1, 3)):
+        expr = LinExpr()
+        for var in rng.sample(variables, rng.randint(2, len(variables))):
+            expr = expr + var * rng.choice([-1, 1]) * rng.randint(1, 60)
+        op = rng.choice(["<=", ">=", "=="])
+        slack = 0 if op == "==" and rng.random() < 0.5 else rng.randint(-40, 40)
+        expr = expr + (slack - expr.evaluate(witness))
+        if op == "<=":
+            constraints.append(expr <= 0)
+        elif op == ">=":
+            constraints.append(expr >= 0)
+        else:
+            constraints.append(expr.eq(0))
+    return variables, constraints
+
+
 def _brute_force(variables, constraints) -> bool:
     for point in itertools.product(
         *(range(v.lo, v.hi + 1) for v in variables)
@@ -56,11 +84,7 @@ def _brute_force(variables, constraints) -> bool:
     return False
 
 
-@pytest.mark.parametrize("seed", _SEEDS)
-def test_smt_differential(seed):
-    rng = random.Random(f"smt-differential-{seed}")
-    variables, constraints = _random_system(rng)
-
+def _check_against_brute_force(seed, variables, constraints):
     solver = Solver()
     encoder = IntEncoder(solver)
     for constraint in constraints:
@@ -80,6 +104,18 @@ def test_smt_differential(seed):
             assert constraint.holds(values), (
                 f"decoded model violates {constraint} (values={values})"
             )
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_smt_differential(seed):
+    rng = random.Random(f"smt-differential-{seed}")
+    _check_against_brute_force(seed, *_random_system(rng))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_smt_differential_wide_coefficients(seed):
+    rng = random.Random(f"smt-differential-wide-{seed}")
+    _check_against_brute_force(seed, *_wide_system(rng))
 
 
 def test_case_count_meets_floor():
