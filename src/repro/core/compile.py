@@ -74,6 +74,9 @@ class CompiledDesign:
     #: a KB change dirties; groups with no KB footprint (budgets,
     #: context values) are absent.
     group_entities: dict[str, frozenset] = field(default_factory=dict)
+    #: Registry key -> variables its encoding allocated (guard included),
+    #: so retiring a variant can account for the circuitry it strands.
+    group_vars: dict[tuple[str, object], int] = field(default_factory=dict)
     _guard_variants: dict[str, int] = field(default_factory=dict)
     _guards_asserted: bool = False
 
@@ -260,6 +263,42 @@ def static_context_of(request: DesignRequest) -> dict[str, bool]:
     return context
 
 
+#: Hardware spec fields that reach the formula only through budget
+#: groups (content-keyed by their coefficients) and the per-query cost
+#: objectives, which read the live KB.
+PRICE_FIELDS = ("cost_usd", "power_w")
+
+
+def unit_bound(request: DesignRequest, hardware) -> int:
+    """Count-domain bound of *hardware* under *request* (before any
+    ``fixed_hardware`` widening): the inventory pins it when present."""
+    if request.inventory is not None:
+        return request.inventory.get(hardware.model, hardware.max_units)
+    return hardware.max_units
+
+
+def hardware_projection(kb: KnowledgeBase, request: DesignRequest,
+                        model: str) -> tuple | None:
+    """Everything of *model* a compile under *request* grounds
+    structurally: kind, count bound and every spec field except
+    :data:`PRICE_FIELDS`. Two KB states with equal projections differ
+    at most in prices and power ratings. ``None`` if the model is gone.
+    """
+    hardware = kb.hardware.get(model)
+    if hardware is None:
+        return None
+    spec = hardware.spec
+    return (
+        hardware.kind,
+        unit_bound(request, hardware),
+        tuple(
+            (name, getattr(spec, name))
+            for name in spec.__dataclass_fields__
+            if name not in PRICE_FIELDS
+        ),
+    )
+
+
 def request_entity_scope(kb: KnowledgeBase, request: DesignRequest) -> frozenset:
     """The KB entity keys grounding *request* actually reads.
 
@@ -353,6 +392,10 @@ class _Compiler:
         self._static_selectors: dict[str, int] = {}
         self._static_descriptions: dict[str, str] = {}
         self._referenced_ctx: set[str] = set()
+        #: Variables allocated by variants retired since compile (see
+        #: :meth:`_retire_variant`): stranded circuitry the session
+        #: weighs against its compiled size.
+        self.retired_vars = 0
 
     # -- setup helpers ---------------------------------------------------------
 
@@ -422,9 +465,13 @@ class _Compiler:
         return Var(guard_name), True
 
     def _add_guarded(self, name: str, description: str, formula: Formula) -> None:
+        before = self.solver.num_vars
         guard, created = self._guard(name, description, content=formula)
         if created:
             self.builder.add_formula(Implies(guard, formula))
+            self.compiled.group_vars[(name, formula)] = (
+                self.solver.num_vars - before
+            )
 
     def _footprint(self, name: str, *keys: tuple[str, str]) -> None:
         """Record which KB entities group *name*'s clauses came from."""
@@ -499,14 +546,20 @@ class _Compiler:
     # -- delta absorption ------------------------------------------------------
 
     def patch_entities(self, touched: frozenset) -> bool:
-        """Absorb a rule/ordering KB delta into the live solver.
+        """Absorb a rule/ordering/hardware-price KB delta into the live
+        solver.
 
         *touched* is the set of changed entity keys, already restricted
-        by the session to :data:`repro.kb.registry.PATCHABLE_KINDS`.
+        by the session to :data:`repro.kb.registry.PATCHABLE_KINDS` —
+        hardware only when its :func:`hardware_projection` is unchanged,
+        i.e. only ``cost_usd``/``power_w`` moved.
         Ordering changes need no clause work at all: ordering graphs are
         rebuilt per query from the live KB, and ``bound:*`` groups are
         content-keyed variants that simply stop being fetched when the
-        formula they encode changes. Hard rules are the one statically
+        formula they encode changes. Price and power changes likewise
+        reach cost objectives through the live KB; the ``budget:*``
+        variants whose coefficients went stale are retired (see
+        :meth:`_retire_stale_budgets`). Hard rules are the one statically
         encoded group kind — each changed rule's guard group is retired
         (guard hard-negated, registry entries dropped so content dedup
         can never resurrect it) and, if the rule still exists, re-ground
@@ -542,13 +595,41 @@ class _Compiler:
             self._footprint(group, ("rule", name))
             self._static_selectors[group] = self.compiled.selectors[group]
             self._static_descriptions[group] = self.compiled.descriptions[group]
+        if any(kind == "hardware" for kind, _ in touched):
+            self._retire_stale_budgets()
         return True
+
+    def _retire_stale_budgets(self) -> None:
+        """Retire every budget variant priced with outdated coefficients.
+
+        Retired rather than left unfetched, so a rating that later
+        reverts re-encodes behind a fresh guard instead of resurrecting
+        a hard-negated one.
+        """
+        current: dict[str, tuple] = {}
+        for key in [k for k in self.compiled.request_groups
+                    if k[0].startswith("budget:")]:
+            _op, kind, _budget, coeffs = key[1]
+            if kind not in current:
+                current[kind] = self._budget_coeffs(kind)
+            if coeffs != current[kind]:
+                lit = self._retire_variant(key)
+                if self.compiled.selectors.get(key[0]) == lit:
+                    self.compiled.selectors.pop(key[0])
+                    self.compiled.descriptions.pop(key[0], None)
+
+    def _retire_variant(self, key: tuple[str, object]) -> int:
+        """Hard-negate one registered variant's guard and drop its
+        registry entry; returns the retired guard literal."""
+        _guard_name, lit = self.compiled.request_groups.pop(key)
+        self.solver.add_clause([-lit])
+        self.retired_vars += self.compiled.group_vars.pop(key, 0)
+        return lit
 
     def _retire_group(self, name: str) -> None:
         """Permanently disable every variant of a guarded group."""
         for key in [k for k in self.compiled.request_groups if k[0] == name]:
-            _guard_name, lit = self.compiled.request_groups.pop(key)
-            self.solver.add_clause([-lit])
+            self._retire_variant(key)
         self.compiled.selectors.pop(name, None)
         self.compiled.descriptions.pop(name, None)
         self._static_selectors.pop(name, None)
@@ -625,10 +706,7 @@ class _Compiler:
 
     def _ground_hardware(self) -> None:
         for model in self.hw_models:
-            hardware = self.kb.hardware_model(model)
-            max_units = hardware.max_units
-            if self.request.inventory is not None:
-                max_units = self.request.inventory.get(model, max_units)
+            max_units = unit_bound(self.request, self.kb.hardware_model(model))
             fixed = self.request.fixed_hardware.get(model)
             if fixed is not None:
                 max_units = max(max_units, fixed)
@@ -831,27 +909,42 @@ class _Compiler:
                 [-guard_lit, -self.compiled.sys_lits[name]] + capable
             )
 
+    def _budget_coeffs(self, kind: str) -> tuple[tuple[str, int], ...]:
+        """Per-model unit price (or power) of a budget kind, zeros
+        dropped, as read from the live KB."""
+        coeffs = []
+        for model in self.hw_models:
+            hardware = self.kb.hardware_model(model)
+            unit = {
+                "capex_usd": hardware.cost_usd,
+                "power_w": hardware.power_w,
+            }.get(kind)
+            if unit is None:
+                raise QueryError(f"unsupported budget kind {kind!r}")
+            if unit:
+                coeffs.append((model, unit))
+        return tuple(coeffs)
+
     def _ground_budgets(self, request: DesignRequest) -> None:
+        # The coefficients are part of the content key: a price or power
+        # re-issue absorbed in place must not fetch a variant encoded
+        # under the old ratings.
         for kind, budget in request.budgets.items():
-            spend = LinExpr()
-            for model in self.hw_models:
-                hardware = self.kb.hardware_model(model)
-                unit = {
-                    "capex_usd": hardware.cost_usd,
-                    "power_w": hardware.power_w,
-                }.get(kind)
-                if unit is None:
-                    raise QueryError(f"unsupported budget kind {kind!r}")
-                if unit:
-                    spend = spend + unit * self.compiled.hw_counts[model]
+            coeffs = self._budget_coeffs(kind)
+            content = ("le", kind, budget, coeffs)
+            before = self.solver.num_vars
             guard, created = self._guard(
-                f"budget:{kind}",
-                f"{kind} budget of {budget}",
-                content=("le", kind, budget),
+                f"budget:{kind}", f"{kind} budget of {budget}", content=content
             )
             if created:
+                spend = LinExpr()
+                for model, unit in coeffs:
+                    spend = spend + unit * self.compiled.hw_counts[model]
                 self.encoder.assert_implies(
                     self.builder.var_for(guard.name), spend <= budget
+                )
+                self.compiled.group_vars[(f"budget:{kind}", content)] = (
+                    self.solver.num_vars - before
                 )
 
     def _sys_int(self, name: str) -> IntVar:

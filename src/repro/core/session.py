@@ -53,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.compile import (
     CompiledDesign,
     _Compiler,
+    hardware_projection,
     request_entity_scope,
     validate_request_entities,
 )
@@ -66,6 +67,13 @@ from repro.obs.trace import NULL_TRACER
 from repro.sat.preprocess import preprocess_solver
 
 __all__ = ["ReasoningSession", "SessionStats", "shape_key"]
+
+#: A session whose retired circuitry (guard variants stranded by KB
+#: patches) exceeds this share of its compiled variable count rebases
+#: instead of patching again: every patched price or power re-issue
+#: re-encodes its budget adders, and an unbounded session would grow
+#: (and slow) without limit.
+RETIRED_VAR_SHARE = 0.25
 
 
 @dataclass
@@ -82,8 +90,12 @@ class SessionStats:
     #: was outside the compiled base's scope).
     rebases_avoided: int = 0
     #: KB deltas absorbed by re-grounding only the dirty groups in
-    #: place (rule/ordering changes inside the scope).
+    #: place (rule/ordering changes or hardware price/power re-issues
+    #: inside the scope).
     rebases_patched: int = 0
+    #: Rebases (counted in ``rebases`` too) forced by the retired-
+    #: circuitry bound (:data:`RETIRED_VAR_SHARE`) on a patchable delta.
+    growth_rebases: int = 0
     #: Request-specific groups served from the registry vs newly encoded.
     groups_reused: int = 0
     groups_encoded: int = 0
@@ -96,6 +108,7 @@ class SessionStats:
             "rebases": self.rebases,
             "rebases_avoided": self.rebases_avoided,
             "rebases_patched": self.rebases_patched,
+            "growth_rebases": self.growth_rebases,
             "groups_reused": self.groups_reused,
             "groups_encoded": self.groups_encoded,
             "last_preprocess": dict(self.last_preprocess),
@@ -149,6 +162,11 @@ class ReasoningSession:
         #: rebasing (see :meth:`_absorb_kb_delta`).
         self._kb_version: int = -1
         self._scope: frozenset = frozenset()
+        #: Structural projection of every compiled hardware model (see
+        #: :func:`hardware_projection`) and the compiled variable count,
+        #: both recorded at rebase.
+        self._projection: dict[str, tuple | None] = {}
+        self._compiled_vars = 0
         self._totalizers: dict = {}
         #: Sessions answer verbs through the same pipeline as the
         #: engine, with this session as the compile-once backend.
@@ -232,6 +250,8 @@ class ReasoningSession:
         self._shape = None
         self._kb_version = -1
         self._scope = frozenset()
+        self._projection = {}
+        self._compiled_vars = 0
         self._totalizers = {}
         self._poisoned = False
 
@@ -294,12 +314,16 @@ class ReasoningSession:
            (:func:`request_entity_scope`): the mutation provably cannot
            affect any formula this session grounds — adopt the new
            fingerprint, zero solver work.
-        2. The in-scope changes are all rules/orderings and
-           :meth:`_Compiler.patch_entities` can re-ground just those
+        2. The in-scope changes are all rules/orderings or hardware
+           re-issues that moved only ``cost_usd``/``power_w`` (the
+           model's structural projection is what was compiled), and
+           :meth:`_Compiler.patch_entities` can re-ground just the dirty
            groups on the live solver.
-        3. Anything else (systems or hardware changed, catalog
-           membership changed under an unpinned request, journal too far
-           behind) — return False, caller does a full rebase.
+        3. Anything else (systems changed, hardware changed beyond its
+           price and power, catalog membership changed under an unpinned
+           request, journal too far behind, or retired circuitry past
+           :data:`RETIRED_VAR_SHARE` of the compiled size) — return
+           False, caller does a full rebase.
         """
         changed = self.kb.changed_entities(self._kb_version)
         if changed is None:
@@ -321,7 +345,17 @@ class ReasoningSession:
         if touched:
             if not all(kind in PATCHABLE_KINDS for kind, _ in touched):
                 return False
+            request = self._compiled.request
+            for kind, model in touched:
+                if kind == "hardware" and self._projection.get(model) != (
+                    hardware_projection(self.kb, request, model)
+                ):
+                    return False
             if not self._compiler.patch_entities(touched):
+                return False
+            if (self._compiler.retired_vars
+                    > RETIRED_VAR_SHARE * self._compiled_vars):
+                self.stats.growth_rebases += 1
                 return False
             self.stats.rebases_patched += 1
         else:
@@ -361,6 +395,10 @@ class ReasoningSession:
         self._shape = shape
         self._kb_version = self.kb.version
         self._scope = request_entity_scope(self.kb, request)
+        self._projection = {
+            model: hardware_projection(self.kb, request, model)
+            for model in self._compiled.hw_models
+        }
         self._totalizers = {}
         self.stats.compiles += 1
         if self.preprocess:
@@ -369,6 +407,7 @@ class ReasoningSession:
                     self._compiled.solver, self._frozen_vars()
                 )
             self.stats.last_preprocess = stats.as_dict()
+        self._compiled_vars = self._compiled.solver.num_vars
 
     def _frozen_vars(self) -> set[int]:
         """Every variable a later query (or extraction) may mention.

@@ -69,8 +69,10 @@ EntityKey = tuple[str, str]
 #: Kinds whose change a compiled session can absorb without a full
 #: rebase (see ``ReasoningSession``): rules re-ground their one guard
 #: group in place; orderings never enter the CNF at all (graphs are
-#: built interpretively per query).
-PATCHABLE_KINDS = frozenset({"rule", "rules@", "ordering"})
+#: built interpretively per query); hardware only when nothing but its
+#: price or power rating changed (the session checks the rest of the
+#: record against what it compiled).
+PATCHABLE_KINDS = frozenset({"rule", "rules@", "ordering", "hardware"})
 
 _MEMBERSHIP_KEYS: tuple[EntityKey, ...] = (
     ("systems@", ""), ("hardware@", ""), ("rules@", "")

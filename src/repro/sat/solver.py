@@ -46,6 +46,9 @@ _RESCALE_FACTOR = 1e-100
 
 #: Minimum lazy-heap size before duplicate-entry pressure triggers a rebuild.
 _HEAP_REBUILD_FLOOR = 32
+#: ``_heap_act`` marker for a variable with no live order-heap entry
+#: (activities are never negative).
+_NO_ENTRY = -1.0
 
 #: Arena size (in ints) below which ablation-mode garbage collection waits.
 _ARENA_GC_FLOOR = 1 << 16
@@ -228,6 +231,10 @@ class Solver:
         self._cla_activity: dict[int, float] = {}
         self._cla_lbd: dict[int, int] = {}
         self._order_heap: list[tuple[float, int]] = []
+        # Var-indexed activity of each variable's freshest order-heap
+        # entry (_NO_ENTRY once popped): a backtrack re-pushes a var only
+        # when its activity moved since that entry was pushed.
+        self._heap_act: list[float] = [_NO_ENTRY]
         self._var_inc = 1.0
         self._cla_inc = 1.0
         self._var_decay = var_decay
@@ -309,6 +316,7 @@ class Solver:
             self._activity.append(self._rng.random() * 1e-6)
         else:
             self._activity.append(0.0)
+        self._heap_act.append(self._activity[v])
         heapq.heappush(self._order_heap, (-self._activity[v], v))
         return v
 
@@ -464,7 +472,10 @@ class Solver:
         assumptions were given, :meth:`unsat_core` names the culprits.
         """
         result = self.solve_limited(assumptions, conflict_budget=None)
-        assert result.satisfiable is not None
+        if result.satisfiable is None:
+            raise SolverStateError(
+                "budget-less solve returned no verdict"
+            )
         return result.satisfiable
 
     def solve_limited(
@@ -909,13 +920,17 @@ class Solver:
         else:
             heap = self._order_heap
             activity = self._activity
+            heap_act = self._heap_act
             for i in range(len(trail) - 1, bound - 1, -1):
                 lit = trail[i]
                 v = lit if lit > 0 else -lit
                 assign[v] = 0
                 assign[-v] = 0
                 reasons[v] = 0
-                heapq.heappush(heap, (-activity[v], v))
+                a = activity[v]
+                if heap_act[v] != a:
+                    heap_act[v] = a
+                    heapq.heappush(heap, (-a, v))
         del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(trail)
@@ -933,9 +948,12 @@ class Solver:
         if self._enable_vsids:
             heap = self._order_heap
             activity = self._activity
+            heap_act = self._heap_act
             assign = self._assign
             while heap:
                 neg_act, v = heapq.heappop(heap)
+                if -neg_act == heap_act[v]:
+                    heap_act[v] = _NO_ENTRY
                 # Lazy deletion: skip assigned variables and entries whose
                 # recorded activity is stale (a fresher duplicate exists).
                 if assign[v] == 0 and -neg_act == activity[v] and v not in eliminated:
@@ -954,25 +972,30 @@ class Solver:
             self._var_inc *= _RESCALE_FACTOR
             self._rebuild_heap()
         elif self._assign[v] == 0:
+            self._heap_act[v] = self._activity[v]
             heapq.heappush(self._order_heap, (-self._activity[v], v))
             self._maybe_compact_heap()
 
     def _maybe_compact_heap(self) -> None:
         """Rebuild once stale/duplicate entries dominate the order heap.
 
-        Every backtrack pushes a fresh entry without removing the old
-        one; without this check the heap grows without bound on
+        A backtrack pushes a fresh entry for every var whose activity was
+        bumped since its last entry, without removing the old one;
+        without this check the heap grows without bound on
         conflict-heavy instances.
         """
         if len(self._order_heap) > max(_HEAP_REBUILD_FLOOR, 2 * self._num_vars):
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        self._order_heap = [
-            (-self._activity[v], v)
-            for v in range(1, self._num_vars + 1)
-            if self._assign[v] == 0 and v not in self._eliminated
-        ]
+        activity, heap_act = self._activity, self._heap_act
+        self._order_heap = []
+        for v in range(1, self._num_vars + 1):
+            if self._assign[v] == 0 and v not in self._eliminated:
+                heap_act[v] = activity[v]
+                self._order_heap.append((-activity[v], v))
+            else:
+                heap_act[v] = _NO_ENTRY
         heapq.heapify(self._order_heap)
 
     def _decay_activities(self) -> None:
@@ -1041,7 +1064,10 @@ class Solver:
             if counter == 0:
                 break
             confl = reasons[pv]
-            assert confl, "non-decision literal must have a reason"
+            if not confl:
+                raise SolverStateError(
+                    "non-decision literal must have a reason"
+                )
         learnt[0] = -p
 
         learnt = self._minimize_learnt(learnt, seen)

@@ -62,6 +62,14 @@ class PoolStats:
     rekeyed: int = 0
     discarded_poisoned: int = 0
     discarded_overflow: int = 0
+    #: How pooled sessions absorbed KB deltas (summed from each
+    #: session's :class:`~repro.core.session.SessionStats` at checkin):
+    #: adopted for free, patched in place, or paid a full rebase; and
+    #: base compiles (first compiles plus rebases).
+    adopted: int = 0
+    patched: int = 0
+    rebased: int = 0
+    compiles: int = 0
 
     def as_dict(self) -> dict:
         total = self.hits + self.misses
@@ -74,6 +82,10 @@ class PoolStats:
             "rekeyed": self.rekeyed,
             "discarded_poisoned": self.discarded_poisoned,
             "discarded_overflow": self.discarded_overflow,
+            "adopted": self.adopted,
+            "patched": self.patched,
+            "rebased": self.rebased,
+            "compiles": self.compiles,
         }
 
 
@@ -97,6 +109,8 @@ class PooledSession:
     request: object = None
     uses: int = 0
     _generation: int = field(default=0, repr=False)
+    #: Session delta counters already folded into the pool's stats.
+    _counted: tuple = field(default=(0, 0, 0, 0), repr=False)
 
     def execute(self, query: Query):
         self.uses += 1
@@ -206,6 +220,7 @@ class SessionPool:
         """
         with self._lock:
             self._in_use -= 1
+            self._count_deltas_locked(pooled)
             if pooled.poisoned:
                 self.stats.discarded_poisoned += 1
                 return
@@ -217,6 +232,17 @@ class SessionPool:
             self._idle.move_to_end(pooled.key)
             self._idle_count += 1
             self._evict_locked()
+
+    def _count_deltas_locked(self, pooled: PooledSession) -> None:
+        stats = pooled.session.stats
+        now = (stats.rebases_avoided, stats.rebases_patched, stats.rebases,
+               stats.compiles)
+        old = pooled._counted
+        self.stats.adopted += now[0] - old[0]
+        self.stats.patched += now[1] - old[1]
+        self.stats.rebased += now[2] - old[2]
+        self.stats.compiles += now[3] - old[3]
+        pooled._counted = now
 
     def _evict_locked(self) -> None:
         while self._idle_count > self.max_sessions:

@@ -57,6 +57,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.core.session import shape_key
 from repro.errors import KnowledgeBaseError, QueryError
 from repro.kb.registry import KnowledgeBase
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
@@ -77,6 +78,7 @@ __all__ = ["StreamRelay", "WorkerSupervisor", "worker_main"]
 _POOL_SUM_FIELDS = (
     "hits", "misses", "evictions", "stale_purged", "rekeyed",
     "discarded_poisoned", "discarded_overflow",
+    "adopted", "patched", "rebased", "compiles",
     "idle", "in_use", "size", "distinct_keys",
 )
 
@@ -613,7 +615,12 @@ class WorkerSupervisor:
         return ring
 
     def route(self, kb_name: str, kb: KnowledgeBase, query) -> _WorkerHandle:
-        """Affinity-first routing with least-loaded spillover."""
+        """Affinity-first routing with least-loaded spillover.
+
+        Affinity hashes ``(kb_name, shape_key(request))``, not the KB
+        fingerprint (*kb* is not read): a delta must not move a shape
+        away from the worker whose warm session can absorb it.
+        """
         live = [h for h in self.workers if h.process is not None]
         if not live:
             raise WireError(
@@ -621,8 +628,7 @@ class WorkerSupervisor:
                 "all solver worker slots are disabled after repeated "
                 "crashes; restart the daemon",
             )
-        key = SessionPool.key_for(kb_name, kb, query)
-        point = self._hash(repr(key))
+        point = self._hash(repr((kb_name, shape_key(query.request))))
         # First ring entry clockwise of the key's point.
         lo, hi = 0, len(self._ring)
         while lo < hi:

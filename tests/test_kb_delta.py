@@ -8,9 +8,10 @@ Three layers of the invalidation architecture:
    content computes. The historical bug class is a mutation that edits
    the dicts without journaling, leaving a stale cached fingerprint.
 2. **Session rebase levels** — a KB delta disjoint from a compiled
-   session's entity scope is adopted for free; an in-scope rule delta is
-   patched on the live solver; anything else falls back to a full
-   rebase. Whatever level fires, answers must match a fresh compile.
+   session's entity scope is adopted for free; an in-scope rule delta
+   or a hardware price/power re-issue is patched on the live solver;
+   anything else falls back to a full rebase. Whatever level fires,
+   answers must match a fresh compile.
 3. **Differential parity** — randomized mutation+query interleavings:
    the delta-absorbing session + footprint-invalidated cache must return
    byte-identical canonical result JSON to an always-recompile engine,
@@ -77,6 +78,25 @@ def _request(**kwargs) -> DesignRequest:
     ])
     defaults.update(kwargs)
     return DesignRequest(**defaults)
+
+
+def _reissue(kb: KnowledgeBase, model: str, **spec_fields) -> None:
+    """Upsert *model* with some spec fields changed (a vendor re-issue)."""
+    hardware = kb.hardware[model]
+    kb.upsert_hardware(replace(
+        hardware, spec=replace(hardware.spec, **spec_fields),
+    ))
+
+
+#: Both workloads, so the probe needs a NIC; one unit of each model keeps
+#: budget circuits small against the compiled formula.
+_PRICED = dict(
+    workloads=[
+        Workload(name="app", objectives=["packet_processing"]),
+        Workload(name="probe", objectives=["detect_queue_length"]),
+    ],
+    inventory={"NIC": 1, "Box": 1},
+)
 
 
 def _fresh_fingerprint(kb: KnowledgeBase) -> str:
@@ -283,6 +303,98 @@ class TestSessionRebaseLevels:
         assert session.stats.rebases == 1
 
 
+class TestHardwareReissue:
+    """Price/power re-issues are patched in place; anything else rebases."""
+
+    @pytest.mark.parametrize("fields", [
+        {"cost_usd": 300}, {"power_w": 14}, {"cost_usd": 300, "power_w": 14},
+    ])
+    def test_price_power_upsert_is_patched(self, fields):
+        kb = _kb()
+        request = _request(budgets={"capex_usd": 250}, **_PRICED)
+        session = ReasoningSession(kb)
+        assert session.check(request).feasible
+        _reissue(kb, "NIC", **fields)
+        outcome = session.check(request)
+        assert session.stats.compiles == 1
+        assert session.stats.rebases == 0
+        assert session.stats.rebases_patched == 1
+        # The capex budget was re-encoded under the new price.
+        assert outcome.feasible == ("cost_usd" not in fields)
+
+    def test_overridden_max_units_is_patched(self):
+        """An inventory-pinned count bound never reads ``max_units``, so a
+        re-issue that resets it (as spec-sheet extraction does) patches."""
+        kb = _kb()
+        request = _request(budgets={"power_w": 12}, **_PRICED)
+        session = ReasoningSession(kb)
+        session.check(request)
+        nic = kb.hardware["NIC"]
+        kb.upsert_hardware(replace(
+            nic, max_units=16, spec=replace(nic.spec, power_w=11),
+        ))
+        assert session.check(request).feasible
+        assert session.stats.rebases == 0
+        assert session.stats.rebases_patched == 1
+
+    @pytest.mark.parametrize("model, fields", [
+        ("Box", {"cores": 16}),
+        ("NIC", {"timestamps": False}),
+        ("NIC", {"cost_usd": 300, "rate_gbps": 100}),
+    ])
+    def test_structural_upsert_rebases(self, model, fields):
+        kb = _kb()
+        request = _request(**_PRICED)
+        session = ReasoningSession(kb)
+        assert session.check(request).feasible
+        _reissue(kb, model, **fields)
+        outcome = session.check(request)
+        assert session.stats.rebases == 1
+        assert session.stats.compiles == 2
+        assert outcome.feasible == fields.get("timestamps", True)
+
+    def test_reverted_rating_reencodes_behind_a_fresh_guard(self):
+        kb = _kb()
+        request = _request(budgets={"power_w": 12}, **_PRICED)
+        session = ReasoningSession(kb)
+        guards, verdicts = [], []
+        for power in (None, 14, 10):
+            if power is not None:
+                _reissue(kb, "NIC", power_w=power)
+            view = session.view(request)
+            guards.append(view.selectors["budget:power_w"])
+            verdicts.append(view.solve())
+        assert verdicts == [True, False, True]
+        assert session.stats.rebases == 0
+        assert session.stats.rebases_patched == 2
+        assert len(set(guards)) == 3
+        live = {lit for _, lit in view.request_groups.values()}
+        solver = view.solver
+        for stale in guards[:2]:
+            assert stale not in live
+            # Hard-negated: no query can switch a stale variant back on.
+            assert not solver.solve([stale])
+        assert solver.solve([guards[2]])
+
+    def test_reissue_stream_keeps_the_session_bounded(self):
+        """50 re-issues, each followed by a power-budget check: retired
+        budget circuitry forces a rebase before the solver outgrows a
+        fixed multiple of its compiled size, and every verdict holds."""
+        kb = _kb()
+        request = _request(budgets={"power_w": 12}, **_PRICED)
+        session = ReasoningSession(kb)
+        for step in range(50):
+            power = 8 + step % 7
+            _reissue(kb, "NIC", power_w=power)
+            assert session.check(request).feasible == (power <= 12), step
+            solver = session._compiled.solver
+            assert solver.num_vars <= 2 * session._compiled_vars, step
+        stats = session.stats
+        assert stats.growth_rebases >= 1
+        assert stats.rebases == stats.growth_rebases
+        assert stats.rebases_patched >= 25
+
+
 # ---------------------------------------------------------------------------
 # 3. Differential parity: delta absorption vs always-recompile
 # ---------------------------------------------------------------------------
@@ -321,6 +433,18 @@ def _mutation_script(rng: random.Random):
             steps.append((f"+system {name}", lambda kb, n=name: kb.add_system(
                 System(name=n, category="monitoring",
                        solves=["detect_queue_length"], requires=TRUE))))
+    # In-footprint hardware re-issues: price and power ratings (absorbed
+    # in place) that flip the budget queries' verdicts, a revert, and a
+    # structural change (capacity) that must rebase.
+    for label, model, fields in [
+        ("$NIC 300", "NIC", {"cost_usd": 300}),
+        ("W NIC 14", "NIC", {"power_w": 14}),
+        ("$NIC 200", "NIC", {"cost_usd": 200}),
+        ("W NIC 10", "NIC", {"power_w": 10}),
+        ("cores Box 16", "Box", {"cores": 16}),
+    ]:
+        steps.append((label, lambda kb, m=model, f=fields: _reissue(
+            kb, m, **f)))
     return steps
 
 
@@ -330,6 +454,8 @@ def _query_mix(rng: random.Random) -> list[Query]:
         _request(required_systems=["StackA"]),
         _request(forbidden_systems=["StackB"]),
         _request(budgets={"capex_usd": 100}),
+        _request(budgets={"capex_usd": 250}, **_PRICED),
+        _request(budgets={"power_w": 12}, **_PRICED),
         _request(workloads=[
             Workload(name="app", objectives=["packet_processing"]),
             Workload(name="probe", objectives=["detect_queue_length"]),
@@ -463,6 +589,59 @@ class TestDeltaParity:
         # recompiled its way through the script.
         stats = delta_executor.session().stats
         assert stats.rebases_avoided + stats.rebases_patched > 0
+
+
+    def test_reissue_stream_matches_always_recompile(self):
+        """One request shape under a seeded stream of price, power,
+        revert and structural re-issues whose values straddle the
+        budgets: every verdict of the absorbing session equals a fresh
+        compile's."""
+        rng = random.Random(SEED)
+        kb = _kb()
+        executor = QueryExecutor(kb, incremental=True, preprocess=True)
+        # The NIC (for the probe) and one Box (16 cores) are both needed:
+        # $5,200 and 410 W at the seed ratings.
+        workloads = [
+            Workload(name="app", objectives=["packet_processing"],
+                     peak_cores=16),
+            Workload(name="probe", objectives=["detect_queue_length"]),
+        ]
+        requests = [
+            _request(workloads=workloads, inventory={"NIC": 1, "Box": 1},
+                     budgets=budgets)
+            for budgets in ({"capex_usd": 5300}, {"power_w": 420},
+                            {"capex_usd": 5300, "power_w": 420}, {})
+        ]
+        choices = {
+            ("NIC", "cost_usd"): [150, 200, 350],
+            ("NIC", "power_w"): [8, 10, 25],
+            ("Box", "cost_usd"): [4900, 5000, 5200],
+            ("Box", "power_w"): [380, 400, 415],
+            ("NIC", "timestamps"): [True, False],
+            ("Box", "cores"): [16, 32],
+        }
+        weighted = list(choices)[:4] * 3 + list(choices)[4:]
+        mismatches = []
+        for step in range(40):
+            model, field = rng.choice(weighted)
+            value = rng.choice(choices[(model, field)])
+            _reissue(kb, model, **{field: value})
+            for request in rng.sample(requests, 2):
+                verb = rng.choice(["check", "diagnose"])
+                query = Query(verb, request)
+                got = _semantic_key(verb, executor.execute(query))
+                fresh = QueryExecutor(
+                    KnowledgeBase.from_dict(kb.to_dict()),
+                    incremental=True, preprocess=True,
+                )
+                want = _semantic_key(verb, fresh.execute(query))
+                if got != want:
+                    mismatches.append((step, model, field, value, verb,
+                                       request.budgets, got, want))
+        assert mismatches == []
+        stats = executor.session().stats
+        assert stats.rebases_patched > 0
+        assert stats.rebases > 0
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

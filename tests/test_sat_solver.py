@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +15,10 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidLiteralError, SolverStateError
 from repro.sat import Solver
-from repro.sat.solver import luby
+from repro.sat.solver import SolveResult, luby
 from tests.conftest import brute_force_sat, random_clauses
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestBasics:
@@ -382,6 +389,143 @@ class TestHeapBound:
         # must still pick every variable exactly once.
         assert s.solve()
         assert len(s.model()) == 8
+
+
+def _golden_instance(seed: int):
+    """Random 3-SAT near the threshold plus four assumption sets."""
+    rng = random.Random(seed)
+    n = rng.randint(40, 150)
+    clauses = []
+    for _ in range(int(n * rng.uniform(4.0, 4.4))):
+        picked = rng.sample(range(1, n + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in picked])
+    assumption_sets = [
+        [v if rng.random() < 0.5 else -v
+         for v in rng.sample(range(1, n + 1), 3)]
+        for _ in range(4)
+    ]
+    return n, clauses, assumption_sets
+
+
+#: ``(seed, verdicts, conflicts, decisions, propagations)`` recorded
+#: before backtracking stopped re-pushing variables whose order-heap
+#: entry is still current: the search trajectory must not move. Odd
+#: seeds run a ``Solver(seed=...)`` (activity jitter).
+_GOLDEN_STATS = [
+    (0, (False, False, False, True), 3049, 3735, 98952),
+    (1, (False, False, True, True), 55, 81, 949),
+    (2, (False, False, False, False), 1422, 1761, 43224),
+    (3, (False, False, False, False), 97, 113, 2016),
+    (4, (False, False, False, False), 64, 76, 1126),
+    (5, (True, True, True, True), 487, 683, 13854),
+    (6, (False, False, False, False), 1486, 1808, 41249),
+    (7, (False, True, False, True), 258, 321, 5529),
+    (8, (False, True, True, True), 33, 84, 807),
+    (9, (True, True, True, True), 123, 225, 2978),
+    (10, (True, True, True, True), 145, 234, 3923),
+    (11, (False, False, True, False), 522, 643, 12405),
+    (12, (True, False, False, False), 308, 391, 6738),
+    (13, (False, False, False, False), 175, 196, 3324),
+    (14, (False, False, False, False), 70, 74, 901),
+    (15, (False, False, False, False), 83, 92, 1223),
+]
+
+
+class TestOrderHeap:
+    @pytest.mark.parametrize("golden", _GOLDEN_STATS, ids=lambda g: str(g[0]))
+    def test_search_trajectory_is_unchanged(self, golden):
+        seed = golden[0]
+        n, clauses, assumption_sets = _golden_instance(seed)
+        s = Solver(seed=seed) if seed % 2 else Solver()
+        s.ensure_vars(n)
+        for clause in clauses:
+            s.add_clause(clause)
+        verdicts = tuple(s.solve(a) for a in assumption_sets)
+        stats = s.stats
+        assert (seed, verdicts, stats.conflicts, stats.decisions,
+                stats.propagations) == golden
+
+    def test_every_free_var_keeps_a_current_heap_entry(self):
+        """The lazy heap's invariant: after any backtrack, each
+        unassigned variable has an entry at its current activity, and
+        ``_heap_act`` never claims an entry the heap does not hold."""
+        n, clauses, assumption_sets = _golden_instance(0)
+        s = Solver()
+        s.ensure_vars(n)
+        for clause in clauses:
+            s.add_clause(clause)
+        for assumptions in assumption_sets:
+            s.solve(assumptions)
+            entries = set(s._order_heap)
+            for v in range(1, s.num_vars + 1):
+                if s._heap_act[v] >= 0:
+                    assert (-s._heap_act[v], v) in entries, v
+                if s._assign[v] == 0:
+                    assert (-s._activity[v], v) in entries, v
+
+
+class _NoVerdict(Solver):
+    def solve_limited(self, assumptions=(), conflict_budget=None):
+        return SolveResult(satisfiable=None)
+
+
+def _reasonless_conflict() -> tuple[Solver, int]:
+    """A corrupted trail: ``b`` sits at the decision level with no
+    reason, and the clause ``(-a, -b)`` is falsified."""
+    s = Solver()
+    a, b = s.new_vars(2)
+    s.add_clause([-a, -b])
+    cref = s._clauses[-1]
+    s._new_decision_level()
+    s._enqueue(a)
+    s._enqueue(b)
+    return s, cref
+
+
+class TestSolverStateErrors:
+    def test_budgetless_solve_without_verdict(self):
+        with pytest.raises(SolverStateError, match="no verdict"):
+            _NoVerdict().solve()
+
+    def test_analyze_rejects_reasonless_implication(self):
+        s, cref = _reasonless_conflict()
+        with pytest.raises(SolverStateError, match="must have a reason"):
+            s._analyze(cref)
+
+    def test_raised_under_optimize_flag(self):
+        """``python -O`` strips asserts; the typed errors must survive."""
+        script = textwrap.dedent(
+            """
+            from repro.errors import SolverStateError
+            from tests.test_sat_solver import _NoVerdict, _reasonless_conflict
+
+            assert False, "asserts must be stripped under -O"
+            for name, call in [
+                ("solve", lambda: _NoVerdict().solve()),
+                ("analyze", lambda: (lambda s, c: s._analyze(c))(
+                    *_reasonless_conflict())),
+            ]:
+                try:
+                    call()
+                except SolverStateError as exc:
+                    print(name, "raised:", exc)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "solve raised: budget-less solve returned no verdict" in (
+            result.stdout
+        )
+        assert "analyze raised: non-decision literal must have a reason" in (
+            result.stdout
+        )
 
 
 class TestProofForStrengthenedClauses:

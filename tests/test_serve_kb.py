@@ -282,6 +282,33 @@ class TestThreadedWorkersParity:
             assert daemon.metrics.counter("workers.kb_shipped") == 0
 
 
+    def test_price_reissue_is_patched_in_workers_and_on_stats(self):
+        """A power re-issue of an in-scope model is absorbed in place by
+        the worker's session, and ``/stats`` reports that decision.
+
+        One worker: shape affinity hashes the scoped fingerprint, so with
+        two the post-delta query may land on the other worker's pool."""
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, workers=1))
+        with InprocDaemon(daemon) as harness:
+            assert harness.query(make_envelope("check", _request()))["ok"]
+            nic = _kb().hardware["NIC"]
+            reissued = Hardware(
+                spec=NICSpec(model="NIC", rate_gbps=25, power_w=15,
+                             cost_usd=200),
+                max_units=nic.max_units,
+            )
+            assert harness.query(_put([{
+                "op": "upsert", "entity": "hardware", "name": "NIC",
+                "payload": reissued.to_dict(),
+            }]))["ok"]
+            assert harness.query(make_envelope("check", _request()))["ok"]
+            stats = harness.submit(daemon._stats_reply()).result(60).payload
+            pool = stats["pool"]
+            assert pool["patched"] == 1, pool
+            assert pool["rebased"] == 0, pool
+            assert pool["compiles"] == 1, pool
+
+
 class TestHttpTransportAndClient:
     @pytest.fixture
     def served(self):

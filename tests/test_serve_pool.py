@@ -15,6 +15,10 @@ Regression suite for two pool policies:
 
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.core.design import DesignRequest
@@ -117,6 +121,27 @@ class TestFingerprintChurn:
         assert stats.rebases_patched == 1
         pool.checkin(pooled)
 
+    def test_delta_decisions_are_summed_on_the_pool(self):
+        """``adopted``/``patched``/``rebased``/``compiles`` on the pool
+        fold in each checked-in session's absorb decisions."""
+        kb = _kb()
+        pool = SessionPool(max_sessions=2)
+        query = _query()
+        _roundtrip(pool, kb, query)
+        kb.add_rule(Rule(name="churn", formula=TRUE))
+        _roundtrip(pool, kb, query)
+        nic = kb.hardware["NIC"]
+        kb.upsert_hardware(replace(nic, spec=replace(nic.spec, power_w=12)))
+        _roundtrip(pool, kb, query)
+        kb.add_system(System(
+            name="Late", category="network_stack",
+            solves=["packet_processing"], requires=TRUE,
+        ))
+        _roundtrip(pool, kb, query)
+        stats = pool.stats_dict()
+        assert (stats["adopted"], stats["patched"], stats["rebased"],
+                stats["compiles"]) == (0, 2, 1, 2)
+
     def test_pool_recovers_hits_after_churn_stops(self):
         """The regression: stale squatters used to pin the hit rate at 0."""
         kb = _kb()
@@ -171,3 +196,41 @@ class TestCheckinEviction:
         assert stats["idle"] == 0
         assert stats["discarded_overflow"] == 1
         assert stats["evictions"] == 0
+
+
+class TestConcurrentAccounting:
+    def test_compile_counts_survive_concurrent_checkins(self):
+        """Every session compiles once on first use, so with no KB churn
+        the pool's ``compiles`` must equal its ``misses`` however the
+        checkins interleave."""
+        kb = _kb()
+        pool = SessionPool(max_sessions=2)
+        queries = [_query("a"), _query("b"), _query("c")]
+        errors: list[BaseException] = []
+
+        def client(index: int) -> None:
+            try:
+                for step in range(6):
+                    _roundtrip(pool, kb, queries[(index + step) % 3])
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = pool.stats_dict()
+        assert stats["hits"] + stats["misses"] == 24
+        assert stats["compiles"] == stats["misses"]
+        assert (stats["adopted"], stats["patched"], stats["rebased"]) == (
+            0, 0, 0
+        )

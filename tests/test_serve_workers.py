@@ -313,6 +313,9 @@ class TestStatsAggregation:
             assert len({w["pid"] for w in workers}) == 2
             pool = stats["pool"]
             assert pool["hits"] + pool["misses"] == 3
+            for name in ("adopted", "patched", "rebased", "compiles"):
+                assert pool[name] == sum(w["pool"][name] for w in workers)
+            assert pool["compiles"] >= 1
             assert pool["max_sessions"] == 2 * daemon.config.pool_size
             hist = stats["solve_latency"]["solve_latency.check"]
             assert hist["count"] == 3
