@@ -54,7 +54,11 @@ class KVFactStore(FactStore):
             return Fact(seq, op, kind, name, payload)
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
+        # Not a generator: the bound is read now, not at the first next().
         bound = self.latest_seq if upto is None else upto
+        return self._facts_between(after, bound)
+
+    def _facts_between(self, after: int, bound: int) -> Iterator[Fact]:
         for seq in range(after + 1, bound + 1):
             blob = self._kv.get(_pack("facts", seq))
             if blob is None:  # pragma: no cover - torn log

@@ -29,10 +29,11 @@ class MemoryFactStore(FactStore):
             return fact
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
+        # Not a generator: the window is cut now, not at the first next().
         with self._lock:
             bound = len(self._facts) if upto is None else min(upto, len(self._facts))
             window = self._facts[max(after, 0):bound]
-        yield from window
+        return iter(window)
 
     @property
     def latest_seq(self) -> int:

@@ -61,6 +61,8 @@ class SqliteFactStore(FactStore):
             return Fact(cur.lastrowid, op, kind, name, payload)
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
+        # Not a generator: the bound is read and the rows fetched now,
+        # not at the first next().
         bound = self.latest_seq if upto is None else upto
         with self._lock:
             rows = self._conn.execute(
@@ -68,9 +70,10 @@ class SqliteFactStore(FactStore):
                 "WHERE seq > ? AND seq <= ? ORDER BY seq",
                 (after, bound),
             ).fetchall()
-        for seq, op, kind, name, blob in rows:
-            payload = None if blob is None else json.loads(blob)
-            yield Fact(seq, op, kind, name, payload)
+        return (
+            Fact(seq, op, kind, name, None if blob is None else json.loads(blob))
+            for seq, op, kind, name, blob in rows
+        )
 
     @property
     def latest_seq(self) -> int:

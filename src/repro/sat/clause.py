@@ -1,11 +1,11 @@
 """Flat clause storage for the CDCL solver.
 
 The solver keeps every clause — given and learnt, binary and long — in
-one :class:`ClauseArena`: a single contiguous ``array('i')`` buffer of
-``[size, lit, lit, ...]`` blocks. A clause is identified by its *clause
-reference* (cref), the integer offset of its size word in the buffer.
-Slot 0 holds a sentinel so every valid cref is positive and ``0`` can
-mean "no clause" (e.g. a decision's reason).
+one :class:`ClauseArena`: a single flat ``list`` of ``[size, lit, lit,
+...]`` blocks. A clause is identified by its *clause reference* (cref),
+the integer offset of its size word in the buffer. Slot 0 holds a
+sentinel so every valid cref is positive and ``0`` can mean "no clause"
+(e.g. a decision's reason).
 
 This replaces the original object-per-clause layout (one Python object
 with a ``lits`` list, ``deleted`` flag, and metadata slots per clause).
@@ -17,34 +17,37 @@ from scratch — instead of ``deleted`` flags that every traversal must
 test (and that leak stale watcher entries in lists propagation never
 happens to visit).
 
+The buffer is a plain ``list`` rather than an ``array('i')``: reading an
+``array`` element boxes a fresh int object on every access, a list read
+just returns a reference, and the propagation loop does little else.
+The price is a few percent of peak memory. The buffer's contents are
+part of the search trajectory (watch positions 0/1 move as propagation
+runs), and ``tests/test_sat_golden.py`` digests them after every solve:
+a faster kernel must leave them bit-identical.
+
 Learnt-clause metadata (activity, LBD) lives in small side dicts keyed
 by cref, owned by the solver: only learnt clauses carry metadata, and
 none of it is touched by propagation.
-
-The legacy :class:`Clause` object is kept only as a public convenience
-type (a few callers build standalone clause values); the solver itself
-no longer allocates it anywhere.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
 
 
 class ClauseArena:
     """A flat ``[size, lits...]`` buffer of clauses addressed by cref.
 
-    The ``data`` buffer is public on purpose: the solver's propagation
-    loop binds it to a local and indexes it directly, because in CPython
-    a method call per clause visit would dominate the loop.
+    The ``data`` list is public on purpose: the solver's hot loops bind
+    it to a local and index or slice it directly, because in CPython a
+    method call per clause visit would dominate the loop.
     """
 
     __slots__ = ("data",)
 
     def __init__(self) -> None:
         # Slot 0 is a sentinel so cref 0 never names a clause.
-        self.data = array("i", [0])
+        self.data: list[int] = [0]
 
     def add(self, lits: Iterable[int]) -> int:
         """Append a clause; return its cref."""
@@ -62,7 +65,7 @@ class ClauseArena:
     def literals(self, cref: int) -> list[int]:
         """The literals of the clause at *cref*, as a fresh list."""
         data = self.data
-        return list(data[cref + 1: cref + 1 + data[cref]])
+        return data[cref + 1: cref + 1 + data[cref]]
 
     def __len__(self) -> int:
         return len(self.data)
@@ -81,38 +84,6 @@ class ClauseArena:
         for cref in live:
             if cref in remap:
                 continue
-            size = data[cref]
             remap[cref] = len(new_data)
-            new_data.append(size)
-            new_data.extend(data[cref + 1: cref + 1 + size])
+            new_data.extend(data[cref: cref + 1 + data[cref]])
         return out, remap
-
-
-class Clause:
-    """A standalone disjunction of literals (legacy convenience type).
-
-    The solver stores its clauses in a :class:`ClauseArena`; this object
-    remains for callers that want a self-describing clause value.
-    """
-
-    __slots__ = ("lits", "learnt", "activity", "lbd", "deleted")
-
-    def __init__(self, lits: list[int], learnt: bool = False):
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
-        self.lbd = 0
-        self.deleted = False
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __iter__(self):
-        return iter(self.lits)
-
-    def __getitem__(self, idx: int) -> int:
-        return self.lits[idx]
-
-    def __repr__(self) -> str:
-        kind = "learnt" if self.learnt else "given"
-        return f"Clause({self.lits}, {kind})"

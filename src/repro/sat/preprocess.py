@@ -34,6 +34,7 @@ the preprocessed database in place.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
@@ -124,6 +125,8 @@ class _Worker:
         self.elim_set: set[int] = set()
         #: Clause storage; a slot is None once its clause is removed.
         self.clauses: list[list[int] | None] = []
+        #: Literal signature of each clause slot (see :func:`_signature`).
+        self.sigs: list[int] = []
         self.occ: dict[int, set[int]] = defaultdict(set)
         self.dirty: list[int] = []  # clause indices awaiting backward pass
         seen: set[frozenset[int]] = set()
@@ -145,21 +148,20 @@ class _Worker:
 
     @staticmethod
     def _normalize(raw: Iterable[int]) -> list[int] | None:
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in raw:
-            if -lit in seen:
-                return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
+        """Drop repeated literals (first occurrences kept, in order);
+        ``None`` for a tautology."""
+        out = list(dict.fromkeys(raw))
+        if not set(out).isdisjoint(map(operator.neg, out)):
+            return None
         return out
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self.clauses)
         self.clauses.append(lits)
+        self.sigs.append(_signature(lits))
+        occ = self.occ
         for lit in lits:
-            self.occ[lit].add(idx)
+            occ[lit].add(idx)
         self.dirty.append(idx)
         return idx
 
@@ -198,6 +200,7 @@ class _Worker:
                 old = list(lits) if self.proof is not None else None
                 lits.remove(-lit)
                 self.occ[-lit].discard(idx)
+                self.sigs[idx] = _signature(lits)
                 if self.proof is not None:
                     self.proof.add(list(lits))
                     self.proof.delete(old)
@@ -211,50 +214,93 @@ class _Worker:
     # -- subsumption & self-subsuming resolution -----------------------------
 
     def backward_pass(self) -> bool:
-        """Use each dirty clause to subsume/strengthen the rest."""
+        """Use each dirty clause to subsume/strengthen the rest.
+
+        A candidate is only compared literal by literal once the 64-bit
+        signatures say it can contain the other clause. Self-subsumption
+        on literal ``l`` scans the shorter of ``occ[¬l]`` and the
+        occurrence list of the rarest literal of ``C ∖ {l}``, but always
+        applies its matches in ``occ[¬l]`` order, so the result does not
+        depend on which list was scanned.
+        """
         changed = False
+        occ = self.occ
+        clauses = self.clauses
+        sigs = self.sigs
+        proof = self.proof
+        stats = self.stats
+
+        def occurrences(lit: int) -> int:
+            return len(occ[lit])
+
         while self.dirty and not self.contradiction:
             idx = self.dirty.pop()
-            lits = self.clauses[idx]
+            lits = clauses[idx]
             if lits is None:
                 continue
+            size = len(lits)
             cset = frozenset(lits)
+            csig = sigs[idx]
             # Subsumption: candidates must contain C's rarest literal.
-            rarest = min(lits, key=lambda l: len(self.occ[l]))
-            for other in list(self.occ[rarest]):
-                dlits = self.clauses[other]
-                if other == idx or dlits is None or len(dlits) < len(lits):
-                    continue
-                if cset <= set(dlits):
-                    if self.proof is not None:
-                        self.proof.delete(dlits)
+            rarest = min(lits, key=occurrences)
+            for other in [
+                o for o in occ[rarest]
+                if not csig & ~sigs[o] and o != idx
+            ]:
+                dlits = clauses[other]
+                if len(dlits) >= size and cset <= set(dlits):
+                    if proof is not None:
+                        proof.delete(dlits)
                     self._detach(other)
-                    self.stats.subsumed += 1
+                    stats.subsumed += 1
                     changed = True
             # Self-subsuming resolution: C = (A ∨ l) strengthens any
-            # D ⊇ (A ∨ ¬l) by removing ¬l from D.
+            # D ⊇ (A ∨ ¬l) by removing ¬l from D. Occurrence counts may
+            # have dropped since ``rarest`` was picked; that only makes
+            # the scanned list longer than needed, never wrong.
             for lit in lits:
-                rest = cset - {lit}
-                for other in list(self.occ[-lit]):
-                    dlits = self.clauses[other]
-                    if other == idx or dlits is None or len(dlits) < len(lits):
-                        continue
-                    dset = set(dlits)
-                    if rest <= dset:
-                        old = list(dlits) if self.proof is not None else None
-                        dlits.remove(-lit)
-                        self.occ[-lit].discard(other)
-                        if self.proof is not None:
-                            self.proof.add(list(dlits))
-                            self.proof.delete(old)
-                        self.stats.strengthened += 1
-                        changed = True
-                        if len(dlits) == 1:
-                            self._detach(other)
-                            self.unit_queue.append(dlits[0])
-                            self.stats.units_derived += 1
-                        else:
-                            self.dirty.append(other)
+                occ_neg = occ[-lit]
+                if not occ_neg:
+                    continue
+                if lit == rarest:
+                    scan = occ[min(
+                        (x for x in lits if x != lit), key=occurrences
+                    )]
+                else:
+                    scan = occ[rarest]
+                if len(scan) >= len(occ_neg):
+                    scan = occ_neg
+                # D contains ¬l, and not l (no tautologies), so A ⊆ D
+                # iff D shares size - 1 literals with C.
+                rsig = csig & ~(1 << (lit & 63)) | 1 << (-lit & 63)
+                matches = [
+                    o for o in scan
+                    if not rsig & ~sigs[o]
+                    and o in occ_neg
+                    and o != idx
+                    and len(clauses[o]) >= size
+                    and len(cset.intersection(clauses[o])) == size - 1
+                ]
+                if len(matches) > 1 and scan is not occ_neg:
+                    found = set(matches)
+                    matches = [o for o in occ_neg if o in found]
+                for other in matches:
+                    dlits = clauses[other]
+                    old = list(dlits) if proof is not None else None
+                    dlits.remove(-lit)
+                    occ_neg.discard(other)
+                    sigs[other] = _signature(dlits)
+                    if proof is not None:
+                        proof.add(list(dlits))
+                        proof.delete(old)
+                    stats.strengthened += 1
+                    changed = True
+                    if len(dlits) == 1:
+                        self._detach(other)
+                        self.unit_queue.append(dlits[0])
+                        stats.units_derived += 1
+                    else:
+                        self.dirty.append(other)
             if self.unit_queue:
                 self.propagate()
         return changed
@@ -366,6 +412,18 @@ class _Worker:
             contradiction=self.contradiction,
             stats=self.stats,
         )
+
+
+def _signature(lits: Iterable[int]) -> int:
+    """64-bit literal signature: bit ``lit mod 64`` set for each literal.
+
+    ``sig(C) & ~sig(D) != 0`` proves ``C ⊄ D`` without comparing
+    literals (SatELite's subsumption pre-filter).
+    """
+    sig = 0
+    for lit in lits:
+        sig |= 1 << (lit & 63)
+    return sig
 
 
 def preprocess_clauses(

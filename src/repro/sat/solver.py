@@ -15,13 +15,21 @@ This is a MiniSat-lineage solver implemented in pure Python:
   subsumption/self-subsumption (via :mod:`repro.sat.preprocess`),
 - incremental solving under assumptions with unsat-core extraction.
 
-Clause storage (the tentpole of the PR-6 rework): every clause lives in
-one contiguous ``array('i')`` of ``[size, lit, lit, ...]`` blocks and is
-identified by an integer *cref* (the offset of its size word; 0 means
-"no clause"). Watcher lists are flat per-literal ``list[int]`` buffers —
-``[cref, blocker, cref, blocker, ...]`` for clauses of three or more
-literals and ``[other_lit, cref, ...]`` for binary clauses — so the
-propagation loop touches no per-clause Python objects at all.
+Clause storage: every clause lives in one flat ``list`` of ``[size,
+lit, lit, ...]`` blocks and is identified by an integer *cref* (the
+offset of its size word; 0 means "no clause"). Watcher lists are flat
+per-literal ``list[int]`` buffers — ``[cref, blocker, cref, blocker,
+...]`` for clauses of three or more literals and ``[other_lit, cref,
+...]`` for binary clauses — so the propagation loop touches no
+per-clause Python objects at all.
+
+The hot paths (propagation, conflict analysis and minimization,
+backtracking, watcher rebuilds, vivification, the search loop) are
+written for CPython's cost model: locals instead of attribute loads,
+inlined helpers, slices instead of index loops. Such rewrites must keep
+the search *trajectory-identical* — the same verdicts, counters, learnt
+clauses and watch-list order — which ``tests/test_sat_golden.py`` and
+the golden rows of ``tests/test_sat_solver.py`` pin.
 
 The feature switches (``enable_vsids``, ``enable_learning``,
 ``enable_restarts``, ``enable_phase_saving``, ``enable_inprocessing``)
@@ -376,6 +384,7 @@ class Solver:
                         "preprocessing and cannot appear in new clauses; "
                         "freeze it before preprocessing"
                     )
+        assign = self._assign
         seen: set[int] = set()
         out: list[int] = []
         stripped = False
@@ -384,10 +393,10 @@ class Solver:
                 return True  # tautology: trivially satisfied
             if lit in seen:
                 continue
-            val = self._value_lit(lit)
-            if val is True:
+            val = assign[lit]
+            if val > 0:
                 return True  # satisfied at root level
-            if val is False:
+            if val < 0:
                 stripped = True
                 continue  # falsified at root level: drop the literal
             seen.add(lit)
@@ -738,15 +747,6 @@ class Solver:
     # Internal machinery
     # ------------------------------------------------------------------
 
-    def _value_lit(self, lit: int) -> bool | None:
-        val = self._assign[var_of(lit)]
-        if val == 0:
-            return None
-        return (val > 0) == (lit > 0)
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _watch_clause(self, cref: int, lits: Sequence[int]) -> None:
         """Register watchers for the clause at *cref* on lits[0]/lits[1]."""
         a, b = lits[0], lits[1]
@@ -771,16 +771,20 @@ class Solver:
     def _propagate(self) -> int | None:
         """Unit propagation; return a conflicting cref or None.
 
-        This is the solver's hottest loop. Everything it touches per
-        literal is bound to a local up front (attribute loads dominate in
-        CPython); truth values are read straight off the assignment array
-        with the sign-folding idiom ``assign[l] if l > 0 else -assign[-l]``
-        (> 0 true, < 0 false, 0 unassigned); binary clauses take a
-        dedicated no-search path; and long clauses are only decoded from
-        the arena after their cached blocker literal fails to satisfy.
+        This is the solver's hottest loop, and in CPython its cost is the
+        number of bytecodes per watcher visit. Everything it touches is
+        bound to a local up front; a truth value is one subscript of the
+        literal-indexed assignment table (> 0 true, < 0 false, 0
+        unassigned); binary clauses take a dedicated no-search path; and
+        long clauses are only decoded from the arena after their cached
+        blocker literal fails to satisfy.
+
+        The trail doubles as the propagation queue: a list iterator also
+        yields the literals appended while it runs, so one ``for`` loop
+        drains the queue (``__setstate__`` starts it at the queue head).
         """
         trail = self._trail
-        assign = self._assign  # literal-indexed: one subscript per test
+        assign = self._assign
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -789,13 +793,11 @@ class Solver:
         watch = self._watch
         bwatch = self._bwatch
         dl = len(self._trail_lim)
-        qhead = self._qhead
-        propagations = 0
+        head = self._qhead
+        queue = iter(trail)
+        queue.__setstate__(head)
         conflict: int | None = None
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            propagations += 1
+        for p in queue:
             false_lit = -p
             # Binary implications: no watch juggling, straight to enqueue.
             bw = bwatch[false_lit]
@@ -807,7 +809,6 @@ class Solver:
                         continue
                     if v < 0:
                         conflict = bw[j + 1]
-                        qhead = len(trail)
                         break
                     assign[other] = 1
                     assign[-other] = -1
@@ -819,81 +820,77 @@ class Solver:
                     trail.append(other)
                 if conflict is not None:
                     break
-            # Long clauses: two watched literals with in-place compaction.
+            # Long clauses: two watched literals. Watchers that move to
+            # another literal leave ``gap`` free slots; the watchers kept
+            # after them shift left by ``gap`` (in-place compaction).
             ws = watch[false_lit]
             if not ws:
                 continue
-            i = 0
-            j2 = 0
+            gap = 0
             n = len(ws)
-            while i < n:
+            for i in range(0, n, 2):
                 blocker = ws[i + 1]
                 if assign[blocker] > 0:
-                    if j2 != i:
-                        ws[j2] = ws[i]
-                        ws[j2 + 1] = blocker
-                    i += 2
-                    j2 += 2
+                    if gap:
+                        ws[i - gap] = ws[i]
+                        ws[i - gap + 1] = blocker
                     continue
                 cref = ws[i]
                 base = cref + 1
                 # Ensure the false literal sits at arena position 1.
                 first = arena[base]
                 if first == false_lit:
-                    arena[base] = arena[base + 1]
+                    first = arena[base + 1]
+                    arena[base] = first
                     arena[base + 1] = false_lit
-                    first = arena[base]
                 fv = assign[first]
-                if fv > 0:
-                    if j2 != i:
-                        ws[j2] = cref
-                    ws[j2 + 1] = first
-                    i += 2
-                    j2 += 2
+                if fv <= 0:
+                    # Look for a replacement watch.
+                    for k in range(base + 2, base + arena[cref]):
+                        lk = arena[k]
+                        if assign[lk] >= 0:
+                            arena[base + 1] = lk
+                            arena[k] = false_lit
+                            watch[lk].extend((cref, first))
+                            gap += 2
+                            break
+                    else:
+                        # Unit or conflicting: keep the watcher.
+                        if gap:
+                            ws[i - gap] = cref
+                            ws[i - gap + 1] = first
+                        else:
+                            ws[i + 1] = first
+                        if fv < 0:
+                            conflict = cref
+                            if gap:
+                                # Shift the unvisited tail: one slice move.
+                                ws[i + 2 - gap:] = ws[i + 2:]
+                            break
+                        assign[first] = 1
+                        assign[-first] = -1
+                        fvv = first if first > 0 else -first
+                        level[fvv] = dl
+                        reason[fvv] = cref
+                        if save_phase:
+                            phase[fvv] = first > 0
+                        trail.append(first)
                     continue
-                # Look for a replacement watch.
-                end = base + arena[cref]
-                moved = False
-                for k in range(base + 2, end):
-                    lk = arena[k]
-                    if assign[lk] >= 0:
-                        arena[base + 1] = lk
-                        arena[k] = false_lit
-                        watch[lk].extend((cref, first))
-                        moved = True
-                        break
-                if moved:
-                    i += 2
-                    continue
-                # Clause is unit or conflicting: keep the watcher.
-                if j2 != i:
-                    ws[j2] = cref
-                ws[j2 + 1] = first
-                i += 2
-                j2 += 2
-                if fv < 0:
-                    conflict = cref
-                    while i < n:
-                        ws[j2] = ws[i]
-                        ws[j2 + 1] = ws[i + 1]
-                        i += 2
-                        j2 += 2
-                    qhead = len(trail)
-                    break
-                assign[first] = 1
-                assign[-first] = -1
-                fvv = first if first > 0 else -first
-                level[fvv] = dl
-                reason[fvv] = cref
-                if save_phase:
-                    phase[fvv] = first > 0
-                trail.append(first)
-            if j2 != i:
-                del ws[j2:]
-            if conflict is not None:
-                break
-        self._qhead = qhead
-        self.stats.propagations += propagations
+                # Satisfied by the other watch: it becomes the blocker.
+                if gap:
+                    ws[i - gap] = cref
+                    ws[i - gap + 1] = first
+                else:
+                    ws[i + 1] = first
+            else:
+                if gap:
+                    del ws[n - gap:]
+                continue
+            break
+        # Literals dequeued, the conflicting one included; on a conflict
+        # the rest of the queue is dropped.
+        self.stats.propagations += len(trail) - queue.__length_hint__() - head
+        self._qhead = len(trail)
         return conflict
 
     def _new_decision_level(self) -> None:
@@ -910,9 +907,11 @@ class Solver:
         # Massive backtracks (e.g. after a long propagation chain) re-heap
         # in one O(n) pass instead of count * O(log n) pushes.
         bulk = count > 512 and 2 * count >= self._num_vars
+        # Trail order is irrelevant here: entries ``(-activity, var)`` are
+        # distinct and totally ordered, so the heap pops the same sequence
+        # whatever order they were pushed in.
         if bulk:
-            for i in range(len(trail) - 1, bound - 1, -1):
-                lit = trail[i]
+            for lit in trail[bound:]:
                 v = lit if lit > 0 else -lit
                 assign[v] = 0
                 assign[-v] = 0
@@ -921,8 +920,8 @@ class Solver:
             heap = self._order_heap
             activity = self._activity
             heap_act = self._heap_act
-            for i in range(len(trail) - 1, bound - 1, -1):
-                lit = trail[i]
+            push = heapq.heappush
+            for lit in trail[bound:]:
                 v = lit if lit > 0 else -lit
                 assign[v] = 0
                 assign[-v] = 0
@@ -930,7 +929,7 @@ class Solver:
                 a = activity[v]
                 if heap_act[v] != a:
                     heap_act[v] = a
-                    heapq.heappush(heap, (-a, v))
+                    push(heap, (-a, v))
         del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(trail)
@@ -950,8 +949,9 @@ class Solver:
             activity = self._activity
             heap_act = self._heap_act
             assign = self._assign
+            pop = heapq.heappop
             while heap:
-                neg_act, v = heapq.heappop(heap)
+                neg_act, v = pop(heap)
                 if -neg_act == heap_act[v]:
                     heap_act[v] = _NO_ENTRY
                 # Lazy deletion: skip assigned variables and entries whose
@@ -989,18 +989,16 @@ class Solver:
 
     def _rebuild_heap(self) -> None:
         activity, heap_act = self._activity, self._heap_act
-        self._order_heap = []
+        assign, eliminated = self._assign, self._eliminated
+        self._order_heap = heap = []
         for v in range(1, self._num_vars + 1):
-            if self._assign[v] == 0 and v not in self._eliminated:
-                heap_act[v] = activity[v]
-                self._order_heap.append((-activity[v], v))
+            if assign[v] == 0 and v not in eliminated:
+                a = activity[v]
+                heap_act[v] = a
+                heap.append((-a, v))
             else:
                 heap_act[v] = _NO_ENTRY
-        heapq.heapify(self._order_heap)
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
-        self._cla_inc /= self._clause_decay
+        heapq.heapify(heap)
 
     def _analyze(self, confl: int) -> tuple[list[int], int, int]:
         """First-UIP conflict analysis.
@@ -1009,9 +1007,11 @@ class Solver:
         literal is at position 0 of the learnt clause.
 
         ``self._seen`` is a persistent bytearray scratch (always all-zero
-        between calls); variable bumps run inline with a deferred rescale,
-        because every variable seen here is assigned and therefore never
-        needs a heap push.
+        between calls): current-level marks are cleared as the trail walk
+        passes them, lower-level marks (the learnt literals) once the
+        clause is minimized. Variable bumps run inline with a deferred
+        rescale, because every variable seen here is assigned and
+        therefore never needs a heap push.
         """
         arena = self._arena.data
         level = self._level
@@ -1022,11 +1022,11 @@ class Solver:
         var_inc = self._var_inc
         cla_act = self._cla_activity
         cla_inc = self._cla_inc
-        touched: list[int] = []
+        limit = _RESCALE_LIMIT
         learnt: list[int] = [0]  # placeholder for the asserting literal
         counter = 0
         p = 0
-        pv = 0
+        pv = 0  # seen[0] is a spare slot
         index = len(trail) - 1
         cur_level = len(self._trail_lim)
         var_rescale = False
@@ -1035,31 +1035,34 @@ class Solver:
             if confl in cla_act:
                 a = cla_act[confl] + cla_inc
                 cla_act[confl] = a
-                if a > _RESCALE_LIMIT:
+                if a > limit:
                     cla_rescale = True
-            for qi in range(confl + 1, confl + 1 + arena[confl]):
-                q = arena[qi]
+            for q in arena[confl + 1: confl + 1 + arena[confl]]:
                 v = q if q > 0 else -q
-                if seen[v] or level[v] == 0:
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if not lv:
                     continue
                 seen[v] = 1
-                touched.append(v)
                 a = activity[v] + var_inc
                 activity[v] = a
-                if a > _RESCALE_LIMIT:
+                if a > limit:
                     var_rescale = True
-                if level[v] >= cur_level:
+                if lv >= cur_level:
                     counter += 1
                 else:
                     learnt.append(q)
-            # Walk back to the next marked literal on the trail.
+            # The reason just scanned (which lists pv itself) is done
+            # with pv: clear its mark, then walk back to the next marked
+            # literal on the trail.
+            seen[pv] = 0
             while True:
                 p = trail[index]
+                index -= 1
                 pv = p if p > 0 else -p
                 if seen[pv]:
                     break
-                index -= 1
-            index -= 1
             counter -= 1
             if counter == 0:
                 break
@@ -1068,21 +1071,31 @@ class Solver:
                 raise SolverStateError(
                     "non-decision literal must have a reason"
                 )
+        seen[pv] = 0
         learnt[0] = -p
 
-        learnt = self._minimize_learnt(learnt, seen)
-        if len(learnt) == 1:
-            back_level = 0
-        else:
-            # Move the literal with the highest level to position 1.
-            max_i = max(
-                range(1, len(learnt)), key=lambda i: level[var_of(learnt[i])]
-            )
+        minimized = self._minimize_learnt(learnt, seen)
+        for q in learnt:
+            seen[q if q > 0 else -q] = 0
+        learnt = minimized
+        # One pass over the levels: the backjump literal (the first of
+        # maximal level, as ``max`` would pick) moves to position 1, and
+        # the distinct levels give the LBD. Every literal after the first
+        # sits above level 0.
+        q = learnt[0]
+        levels = {level[q if q > 0 else -q]}
+        back_level = 0
+        max_i = 1
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            lv = level[q if q > 0 else -q]
+            levels.add(lv)
+            if lv > back_level:
+                back_level = lv
+                max_i = i
+        if back_level:
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            back_level = level[var_of(learnt[1])]
-        lbd = len({level[var_of(lit)] for lit in learnt})
-        for v in touched:
-            seen[v] = 0
+        lbd = len(levels)
         if var_rescale:
             for u in range(1, self._num_vars + 1):
                 activity[u] *= _RESCALE_FACTOR
@@ -1101,23 +1114,21 @@ class Solver:
         level = self._level
         reasons = self._reason
         out = [learnt[0]]
+        minimized = 0
         for lit in learnt[1:]:
             v = lit if lit > 0 else -lit
             r = reasons[v]
             if not r:
                 out.append(lit)
                 continue
-            redundant = True
-            for qi in range(r + 1, r + 1 + arena[r]):
-                q = arena[qi]
+            for q in arena[r + 1: r + 1 + arena[r]]:
                 u = q if q > 0 else -q
                 if u != v and not seen[u] and level[u] != 0:
-                    redundant = False
+                    out.append(lit)
                     break
-            if redundant:
-                self.stats.minimized_literals += 1
             else:
-                out.append(lit)
+                minimized += 1
+        self.stats.minimized_literals += minimized
         return out
 
     def _record_learnt(self, learnt: list[int], lbd: int) -> None:
@@ -1205,13 +1216,19 @@ class Solver:
     def _rebuild_watches(self) -> None:
         """Recreate every watcher list from the live clause sets."""
         size = 2 * self._lit_cap + 1
-        self._watch = [[] for _ in range(size)]
-        self._bwatch = [[] for _ in range(size)]
-        arena = self._arena
-        for cref in self._clauses:
-            self._watch_clause(cref, arena.literals(cref))
-        for cref in self._learnts:
-            self._watch_clause(cref, arena.literals(cref))
+        self._watch = watch = [[] for _ in range(size)]
+        self._bwatch = bwatch = [[] for _ in range(size)]
+        data = self._arena.data
+        for crefs in (self._clauses, self._learnts):
+            for cref in crefs:
+                a = data[cref + 1]
+                b = data[cref + 2]
+                if data[cref] == 2:
+                    bwatch[a].extend((b, cref))
+                    bwatch[b].extend((a, cref))
+                else:
+                    watch[a].extend((cref, b))
+                    watch[b].extend((cref, a))
 
     def watcher_stats(self) -> dict[str, int]:
         """Watcher-list accounting, for invariant checks and tests.
@@ -1341,20 +1358,27 @@ class Solver:
         saved_phase = self._enable_phase_saving
         self._enable_phase_saving = False
         out: list[list[int]] = []
-        arena = self._arena
+        data = self._arena.data
+        assign = self._assign
+        level = self._level
+        reasons = self._reason
+        trail = self._trail
+        trail_lim = self._trail_lim
+        stats = self.stats
+        propagate = self._propagate
         try:
             for cref in self._clauses:
-                lits = arena.literals(cref)
+                lits = data[cref + 1: cref + 1 + data[cref]]
                 # Root-level filter: drop satisfied clauses, strip
                 # falsified literals.
                 kept: list[int] = []
                 satisfied = False
                 for lit in lits:
-                    val = self._value_lit(lit)
-                    if val is True:
+                    val = assign[lit]
+                    if val > 0:
                         satisfied = True
                         break
-                    if val is None:
+                    if val == 0:
                         kept.append(lit)
                 if satisfied:
                     if proof is not None:
@@ -1367,19 +1391,43 @@ class Solver:
                     return out
                 if len(kept) >= 2 and budget > 0:
                     budget -= len(kept)
-                    new = self._vivify_probe(kept)
+                    # Probe: assume the literals' negations in order at
+                    # level 1. A true literal or a propagation conflict
+                    # truncates the clause to the processed prefix (plus
+                    # that literal); a false literal is dropped. Each
+                    # outcome is a RUP-sound strengthening.
+                    trail_lim.append(len(trail))
+                    new: list[int] = []
+                    for lit in kept:
+                        val = assign[lit]
+                        if val > 0:
+                            new.append(lit)
+                            break
+                        if val < 0:
+                            continue
+                        new.append(lit)
+                        # Enqueue -lit (phase saving is off here).
+                        v = lit if lit > 0 else -lit
+                        assign[lit] = -1
+                        assign[-lit] = 1
+                        level[v] = 1
+                        reasons[v] = 0
+                        trail.append(-lit)
+                        if propagate() is not None:
+                            break
+                    self._cancel_until(0)
                 else:
                     new = kept
                 if len(new) < len(lits):
                     if len(new) < len(kept):
-                        self.stats.vivified_clauses += 1
-                        self.stats.vivified_literals += len(kept) - len(new)
+                        stats.vivified_clauses += 1
+                        stats.vivified_literals += len(kept) - len(new)
                     if proof is not None:
                         proof.add(new)
                         proof.delete(lits)
                     if len(new) == 1:
                         self._enqueue(new[0], 0)
-                        if self._propagate() is not None:
+                        if propagate() is not None:
                             self._unsat = True
                             if proof is not None:
                                 proof.add([])
@@ -1389,30 +1437,6 @@ class Solver:
         finally:
             self._enable_phase_saving = saved_phase
         return out
-
-    def _vivify_probe(self, lits: list[int]) -> list[int]:
-        """Probe one clause: assume literal negations in order, propagate.
-
-        Each outcome maps to a RUP-sound strengthening of the clause:
-        a true literal or a propagation conflict truncates the clause to
-        the processed prefix (plus that literal); a false literal is
-        simply dropped.
-        """
-        self._new_decision_level()
-        new: list[int] = []
-        for lit in lits:
-            val = self._value_lit(lit)
-            if val is True:
-                new.append(lit)
-                break
-            if val is False:
-                continue
-            new.append(lit)
-            self._enqueue(-lit, 0)
-            if self._propagate() is not None:
-                break
-        self._cancel_until(0)
-        return new
 
     def _replace_database(
         self,
@@ -1492,12 +1516,21 @@ class Solver:
     ) -> tuple[bool | None, int]:
         """Run CDCL until SAT, UNSAT, or *budget* conflicts; return status+used."""
         conflicts = 0
+        stats = self.stats
+        trail = self._trail
+        trail_lim = self._trail_lim
+        assign = self._assign
+        level = self._level
+        reasons = self._reason
+        phase = self._phase
+        propagate = self._propagate
+        n_assumptions = len(assumptions)
         while True:
-            confl = self._propagate()
+            confl = propagate()
             if confl is not None:
                 conflicts += 1
-                self.stats.conflicts += 1
-                if not self._trail_lim:
+                stats.conflicts += 1
+                if not trail_lim:
                     # Learnt clauses never rely on assumptions being true, so
                     # a root-level conflict means the formula itself is unsat.
                     self._unsat = True
@@ -1508,10 +1541,11 @@ class Solver:
                 learnt, back_level, lbd = self._analyze(confl)
                 self._cancel_until(back_level)
                 self._record_learnt(learnt, lbd)
-                self._decay_activities()
+                self._var_inc /= self._var_decay
+                self._cla_inc /= self._clause_decay
                 if (
                     self._progress_cb is not None
-                    and (self.stats.conflicts - self._conflicts_at_start)
+                    and (stats.conflicts - self._conflicts_at_start)
                     % self._progress_interval == 0
                 ):
                     self._emit_progress("sample")
@@ -1519,37 +1553,44 @@ class Solver:
                     return None, conflicts
                 continue
             if self._enable_learning:
-                if len(self._learnts) > self._max_learnts + len(self._trail):
+                if len(self._learnts) > self._max_learnts + len(trail):
                     self._reduce_db()
                     self._max_learnts *= 1.05
             elif len(self._arena.data) > self._arena_gc_limit:
                 # Ablation mode (no learning) still allocates a reason
                 # clause per conflict; reclaim the dead ones periodically.
                 self._collect_garbage()
-            level = len(self._trail_lim)
-            if level < len(assumptions):
-                p = assumptions[level]
-                val = self._value_lit(p)
-                if val is True:
-                    self._new_decision_level()
+            dl = len(trail_lim)
+            if dl < n_assumptions:
+                p = assumptions[dl]
+                val = assign[p]
+                if val > 0:
+                    trail_lim.append(len(trail))
                     continue
-                if val is False:
+                if val < 0:
                     self._core = self._analyze_final(p)
                     return False, conflicts
-                self._new_decision_level()
+                trail_lim.append(len(trail))
                 self._enqueue(p, 0)
                 continue
             v = self._decide_var()
             if v is None:
                 self._model = {
-                    u: self._assign[u] > 0 for u in range(1, self._num_vars + 1)
+                    u: assign[u] > 0 for u in range(1, self._num_vars + 1)
                 }
                 if self._elim_stack:
                     self._reconstruct_model(self._model)
                 return True, conflicts
-            self.stats.decisions += 1
-            self._new_decision_level()
-            self._enqueue(v if self._phase[v] else -v, 0)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            # Enqueue the decision in its saved phase (so phase saving
+            # would store the value it already holds).
+            lit = v if phase[v] else -v
+            assign[lit] = 1
+            assign[-lit] = -1
+            level[v] = dl + 1
+            reasons[v] = 0
+            trail.append(lit)
 
     def _analyze_final(self, p: int) -> list[int]:
         """Compute the set of assumptions responsible for falsifying *p*."""

@@ -134,6 +134,15 @@ class TestBackendContract:
         assert names == ["s0", "s1", "s2"]
         assert store.latest_seq == 4
 
+    def test_scan_bound_is_fixed_at_call_time(self, store):
+        """``upto`` defaults to ``latest_seq`` when ``scan()`` is called,
+        not when the returned iterator is first advanced."""
+        for i in range(3):
+            store.append("upsert", "system", f"s{i}", {})
+        scan = store.scan()
+        store.append("upsert", "system", "late", {})
+        assert [f.name for f in scan] == ["s0", "s1", "s2"]
+
 
 class TestSqliteDurability:
     def test_reopen_mid_log_resumes_at_committed_seq(self, tmp_path):
